@@ -1,91 +1,71 @@
-"""Benchmark harness reproducing every figure of the paper's Section 6."""
+"""Benchmark harness reproducing every figure of the paper's Section 6.
 
-from repro.bench.baselines import baseline_tid_scan
-from repro.bench.export import (
-    figure_to_csv,
-    figure_to_dict,
-    load_json,
-    write_csv,
-    write_json,
-)
-from repro.bench.figures import (
-    ALL_FIGURES,
-    ablation_adaptive_scheduler,
-    ablation_buffer_capacity,
-    ablation_cost_model,
-    ablation_hypermodel_generality,
-    ablation_multi_device,
-    ablation_parallel_contention,
-    ablation_scheduler_overhead,
-    ablation_sharing_degree,
-    ablation_window_tuning,
-    buffer_pin_bound,
-    depth_first_window_invariance,
-    figure_11,
-    figure_13,
-    figure_14,
-    figure_15,
-    figure_16,
-)
-from repro.bench.regression import (
-    RegressionReport,
-    compare_documents,
-    compare_files,
-)
-from repro.bench.harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    clear_database_cache,
-    get_database,
-    run_experiment,
-    sweep,
-)
-from repro.bench.report import FigureResult, render, render_all
-from repro.bench.service import (
-    figure_service,
-    figure_service_cache,
-    figure_service_scaling,
-)
-from repro.bench.volcano import figure_volcano
+The public names below are imported lazily, on first access, so that
+``python -m repro.bench.perf`` and ``python -m repro.bench.regression``
+run their module as ``__main__`` without the package having imported
+it first.
+"""
 
-__all__ = [
-    "ALL_FIGURES",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FigureResult",
-    "RegressionReport",
-    "ablation_adaptive_scheduler",
-    "ablation_buffer_capacity",
-    "ablation_cost_model",
-    "ablation_hypermodel_generality",
-    "ablation_multi_device",
-    "ablation_parallel_contention",
-    "ablation_scheduler_overhead",
-    "ablation_sharing_degree",
-    "ablation_window_tuning",
-    "baseline_tid_scan",
-    "buffer_pin_bound",
-    "clear_database_cache",
-    "compare_documents",
-    "compare_files",
-    "depth_first_window_invariance",
-    "figure_11",
-    "figure_13",
-    "figure_14",
-    "figure_15",
-    "figure_16",
-    "figure_service",
-    "figure_service_cache",
-    "figure_service_scaling",
-    "figure_to_csv",
-    "figure_to_dict",
-    "figure_volcano",
-    "get_database",
-    "load_json",
-    "render",
-    "render_all",
-    "run_experiment",
-    "sweep",
-    "write_csv",
-    "write_json",
-]
+import importlib
+
+#: submodule -> the public names it defines.
+_PUBLIC = {
+    "baselines": ("baseline_tid_scan",),
+    "export": (
+        "figure_to_csv",
+        "figure_to_dict",
+        "load_json",
+        "write_csv",
+        "write_json",
+    ),
+    "figures": (
+        "ALL_FIGURES",
+        "ablation_adaptive_scheduler",
+        "ablation_buffer_capacity",
+        "ablation_cost_model",
+        "ablation_hypermodel_generality",
+        "ablation_multi_device",
+        "ablation_parallel_contention",
+        "ablation_scheduler_overhead",
+        "ablation_sharing_degree",
+        "ablation_window_tuning",
+        "buffer_pin_bound",
+        "depth_first_window_invariance",
+        "figure_11",
+        "figure_13",
+        "figure_14",
+        "figure_15",
+        "figure_16",
+    ),
+    "harness": (
+        "ExperimentConfig",
+        "ExperimentResult",
+        "clear_database_cache",
+        "get_database",
+        "run_experiment",
+        "sweep",
+    ),
+    "regression": ("RegressionReport", "compare_documents", "compare_files"),
+    "report": ("FigureResult", "render", "render_all"),
+    "service": (
+        "figure_service",
+        "figure_service_cache",
+        "figure_service_scaling",
+    ),
+    "volcano": ("figure_volcano",),
+}
+_MODULE_OF = {
+    name: module for module, names in _PUBLIC.items() for name in names
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import the submodule defining ``name`` on first access."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.policies import ClusteringPolicy, Placement
 from repro.objects.model import ComplexObjectDef, ObjectDef, validate_database
@@ -32,7 +32,8 @@ class LayoutSnapshot:
     """
 
     pages: Dict[int, bytes]
-    next_free: int
+    #: the disk's allocation cursors (see ``SimulatedDisk.dump_state``).
+    cursors: Tuple[int, ...]
     directory: Dict
     decoded: Dict
     policy_name: str
@@ -55,10 +56,10 @@ def snapshot_layout(layout: "LayoutResult") -> LayoutSnapshot:
     """
     store = layout.store
     store.buffer.flush_all()
-    pages, next_free = store.disk.dump_state()
+    pages, cursors = store.disk.dump_state()
     return LayoutSnapshot(
         pages=pages,
-        next_free=next_free,
+        cursors=cursors,
         directory=store.directory.dump(),
         decoded=store.dump_decoded(),
         policy_name=layout.policy_name,
@@ -74,12 +75,15 @@ def restore_layout(
 ) -> "LayoutResult":
     """Reconstitute a :class:`LayoutResult` from ``snapshot`` onto ``store``.
 
-    ``store`` (and its disk/buffer) must be freshly constructed — the
-    state matches what :func:`layout_database` leaves behind, which
-    resets head position and all statistics.  The restored layout is
-    bit-identical to a rebuild of the same parameter point.
+    ``store`` (and its disk/buffer) must be freshly constructed, on a
+    disk of the snapshotted geometry — the state matches what
+    :func:`layout_database` leaves behind, which resets head position
+    and all statistics.  The restored layout is bit-identical to a
+    rebuild of the same parameter point, allocation cursors included,
+    so extents allocated afterwards (by the reorganizer, say) land
+    where they would on the rebuilt disk.
     """
-    store.disk.load_state(snapshot.pages, snapshot.next_free)
+    store.disk.load_state(snapshot.pages, snapshot.cursors)
     store.directory.load(snapshot.directory)
     store.load_decoded(snapshot.decoded)
     return LayoutResult(

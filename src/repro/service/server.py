@@ -14,6 +14,10 @@ drives it until idle, and :meth:`result` blocks (by stepping) until one
 request finishes.  The service clock is the device server's resolution
 counter, so identical request sequences produce identical metrics on
 the simulated disk.
+
+A step touches only the *live* requests (queued or running), never the
+finished ones kept for :meth:`poll` / :meth:`result`, so its cost does
+not grow with the number of requests the service has ever served.
 """
 
 from __future__ import annotations
@@ -144,7 +148,8 @@ class AssemblyService:
             self.cache.wire(store)
         self.metrics = ServiceMetrics()
         self._requests: Dict[int, _Request] = {}
-        self._tickets: Dict[int, _Request] = {}
+        # Queued and running requests, in request-id (= insertion) order.
+        self._live: Dict[int, _Request] = {}
         self._next_request_id = 0
 
     # -- submission ----------------------------------------------------------
@@ -180,6 +185,7 @@ class AssemblyService:
         request.assembly_kwargs = dict(assembly_kwargs)
         request.cache_results = use_cache and self.cache is not None
         self._requests[request_id] = request
+        self._live[request_id] = request
         if self.spans is not None:
             request.span = self.spans.begin(
                 "request", kind="request", request_id=request_id
@@ -211,6 +217,7 @@ class AssemblyService:
             )
         except ServiceOverloadError:
             del self._requests[request_id]
+            del self._live[request_id]
             del self.metrics.per_request[request_id]
             self.metrics.requests_submitted -= 1
             self.metrics.requests_rejected += 1
@@ -262,7 +269,9 @@ class AssemblyService:
         """
         advanced = self.server.step()
         finished_any = False
-        for request in list(self._requests.values()):
+        # Iterate a snapshot: _finish drops requests from the index and
+        # may start queued ones in the middle of the loop.
+        for request in list(self._live.values()):
             if request.status is RequestStatus.RUNNING:
                 self._collect(request)
                 if request.query is not None and request.query.finished:
@@ -280,12 +289,7 @@ class AssemblyService:
         """
         while self.step():
             pass
-        stuck = [
-            r.request_id
-            for r in self._requests.values()
-            if r.status
-            not in (RequestStatus.DONE, RequestStatus.CANCELLED)
-        ]
+        stuck = list(self._live)
         if stuck:
             raise ServiceStateError(
                 f"service idle with unfinished requests {stuck}"
@@ -362,6 +366,7 @@ class AssemblyService:
         if request.tracer is not None:
             request.metrics.absorb_trace(request.tracer)
         request.status = RequestStatus.DONE
+        del self._live[request.request_id]
         request.metrics.completed_at = self.clock
         self.metrics.requests_completed += 1
         self.metrics.close_request(request.metrics)
@@ -407,6 +412,7 @@ class AssemblyService:
                     self._start(self._requests[started.request_id])
             request.ticket = None
         request.status = RequestStatus.CANCELLED
+        del self._live[request_id]
         self.metrics.requests_cancelled += 1
         if self.spans is not None:
             if request.wait_span is not None:

@@ -220,25 +220,34 @@ class SimulatedDisk:
 
     # -- snapshot / restore ---------------------------------------------------
 
-    def dump_state(self) -> Tuple[Dict[int, bytes], int]:
-        """Copy of ``(page images, allocation cursor)``.
+    def dump_state(self) -> Tuple[Dict[int, bytes], Tuple[int, ...]]:
+        """Copy of ``(page images, allocation cursors)``.
 
         Page images are immutable ``bytes``, so the copy is shallow and
         cheap; together with :meth:`load_state` this lets a harness
         snapshot a freshly laid-out database and restore it onto a new
-        disk instead of re-running the whole load phase.
+        disk of the same geometry instead of re-running the whole load
+        phase.  The cursors are what :meth:`allocate` continues from:
+        ``(next_free,)`` for a single device.
         """
-        return dict(self._pages), self._next_free
+        return dict(self._pages), (self._next_free,)
 
-    def load_state(self, pages: Dict[int, bytes], next_free: int) -> None:
-        """Install page images and allocation cursor from :meth:`dump_state`.
+    def load_state(
+        self, pages: Dict[int, bytes], cursors: Tuple[int, ...]
+    ) -> None:
+        """Install page images and allocation cursors from :meth:`dump_state`.
 
         Head position and statistics are untouched — callers restore
         onto a fresh disk, which matches the post-layout state
         (:func:`repro.cluster.layout.layout_database` resets both).
         """
+        if len(cursors) != 1:
+            raise DiskError(
+                f"a single-device disk has 1 allocation cursor, "
+                f"not {len(cursors)}"
+            )
         self._pages = dict(pages)
-        self._next_free = next_free
+        (self._next_free,) = cursors
 
     # -- I/O ------------------------------------------------------------------
 

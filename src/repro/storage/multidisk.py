@@ -21,7 +21,7 @@ matching per-device request queues live in
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.errors import DiskError, ExtentError
 from repro.storage.disk import DiskStats, Extent, SimulatedDisk
@@ -171,6 +171,30 @@ class MultiDeviceDisk(SimulatedDisk):
             return None
         self._device_free[device] = end
         return Extent(start=start, length=n_pages)
+
+    # -- snapshot / restore ------------------------------------------------------------
+
+    def dump_state(self) -> Tuple[Dict[int, bytes], Tuple[int, ...]]:
+        """Copy of ``(page images, allocation cursors)``.
+
+        The cursors are each device's next free page followed by the
+        round-robin device pointer, so allocation after
+        :meth:`load_state` continues exactly where this disk left off.
+        """
+        return dict(self._pages), (*self._device_free, self._next_device)
+
+    def load_state(
+        self, pages: Dict[int, bytes], cursors: Tuple[int, ...]
+    ) -> None:
+        """Install page images and allocation cursors from :meth:`dump_state`."""
+        if len(cursors) != self.n_devices + 1:
+            raise DiskError(
+                f"a {self.n_devices}-device disk has {self.n_devices + 1} "
+                f"allocation cursors, not {len(cursors)}"
+            )
+        self._pages = dict(pages)
+        self._device_free = list(cursors[:-1])
+        self._next_device = cursors[-1]
 
     # -- statistics -------------------------------------------------------------------------
 

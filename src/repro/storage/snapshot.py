@@ -48,14 +48,13 @@ def save_store(store: ObjectStore, path: Union[str, Path]) -> Path:
     if isinstance(disk, MultiDeviceDisk):
         kind = _KIND_MULTI
         geometry = [disk.n_devices, disk.pages_per_device]
-        cursors = list(disk._device_free) + [disk._next_device]
     else:
         kind = _KIND_SINGLE
         geometry = [disk._limit if disk._limit is not None else -1]
-        cursors = [disk.allocated_pages]
 
     store.buffer.flush_all()
-    pages = sorted(disk._pages.items())
+    images, cursors = disk.dump_state()
+    pages = sorted(images.items())
     directory = [(oid, store.directory.lookup(oid)) for oid in store.directory]
 
     with open(target, "wb") as handle:
@@ -114,19 +113,18 @@ def load_store(
         disk: SimulatedDisk = MultiDeviceDisk(
             n_devices=geometry[0], pages_per_device=geometry[1]
         )
-        disk._device_free = cursors[:-1]
-        disk._next_device = cursors[-1]
     elif kind == _KIND_SINGLE:
         limit = None if geometry[0] == -1 else geometry[0]
         disk = SimulatedDisk(n_pages=limit)
-        disk._next_free = cursors[0]
     else:
         raise StorageError(f"unknown snapshot disk kind {kind}")
 
     (n_pages,) = struct.unpack(">I", take(4))
+    images = {}
     for _ in range(n_pages):
         (page_id,) = _PAGE_ENTRY.unpack(take(_PAGE_ENTRY.size))
-        disk._pages[page_id] = bytes(take(PAGE_SIZE))
+        images[page_id] = bytes(take(PAGE_SIZE))
+    disk.load_state(images, tuple(cursors))
 
     store = ObjectStore(
         disk,

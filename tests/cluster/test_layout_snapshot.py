@@ -104,6 +104,28 @@ class TestRestoreEqualsRebuild:
                     == built_store.fetch(oid).encode()
                 )
 
+    def test_allocation_continues_where_the_layout_left_off(
+        self, kind, policy_factory
+    ):
+        """Extents allocated after a restore equal those after a rebuild.
+
+        The reorganizer allocates fresh extents on a restored layout; a
+        restore that rewound the allocation cursors would hand out
+        pages that already hold live objects.
+        """
+        _, built_store, layout = build_layout(kind, policy_factory())
+        snapshot = snapshot_layout(layout)
+
+        fresh_disk = make_disk(kind)
+        restored_store = ObjectStore(fresh_disk, BufferManager(fresh_disk))
+        restore_layout(snapshot, restored_store)
+
+        live = set(snapshot.pages)
+        for n_pages in (2, 1, 3, 2, 2):
+            extent = restored_store.disk.allocate(n_pages)
+            assert extent == built_store.disk.allocate(n_pages)
+            assert live.isdisjoint(range(extent.start, extent.end))
+
     def test_restored_stats_match_fresh_layout(self, kind, policy_factory):
         """Restore leaves the same reset stats layout_database does."""
         _, _, layout = build_layout(kind, policy_factory())

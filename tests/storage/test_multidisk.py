@@ -237,3 +237,24 @@ class TestExchangeResetConsistency:
             return self.snapshot(store.disk)
 
         assert cold_run() == cold_run()
+
+
+class TestDumpLoadState:
+    def test_cursors_survive_a_restore(self):
+        disk = MultiDeviceDisk(n_devices=3, pages_per_device=100)
+        for n_pages in (4, 2, 7, 1):
+            disk.allocate(n_pages)
+        disk.write(Page(5))
+        pages, cursors = disk.dump_state()
+        assert cursors == (5, 102, 207, 1)
+
+        clone = MultiDeviceDisk(n_devices=3, pages_per_device=100)
+        clone.load_state(pages, cursors)
+        assert clone.dump_state() == (pages, cursors)
+        assert clone.allocate(3) == disk.allocate(3)
+        assert clone.allocate_on(2, 2) == disk.allocate_on(2, 2)
+
+    def test_cursors_of_another_geometry_are_refused(self):
+        disk = MultiDeviceDisk(n_devices=3, pages_per_device=100)
+        with pytest.raises(DiskError):
+            disk.load_state({}, (0,))
